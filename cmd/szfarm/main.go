@@ -266,7 +266,7 @@ func cmdWork(args []string) error {
 	server := fs.String("server", "", "coordinator base URL(s), comma-separated for failover (required)")
 	name := fs.String("name", "", "worker name in leases and events (default: hostname)")
 	jobs := fs.Int("j", 0, "parallel runs within a cell (0 = $SZ_PARALLEL or GOMAXPROCS)")
-	poll := fs.Duration("poll", 500*time.Millisecond, "idle poll interval")
+	poll := fs.Duration("poll", 500*time.Millisecond, "maximum idle poll interval (idle polls restart at 1/64 of it after each cell and double up to it)")
 	idleExit := fs.Bool("idle-exit", false, "exit when the farm reports no remaining work")
 	metricsAddr := fs.String("metrics-addr", "", "serve worker metrics (GET /metrics, Prometheus text) on this address")
 	fs.Parse(args)

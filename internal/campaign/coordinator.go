@@ -152,30 +152,33 @@ type campaignState struct {
 	// campaigns restored from pre-trace journals).
 	submitted time.Time
 
-	// events is the campaign's bounded JSONL event log (obs wire format);
-	// artifact caches the merged artifact bytes once assembled.
-	events   *eventRing
-	artifact []byte
+	// events is the campaign's bounded JSONL event log (obs wire format).
+	events *eventRing
 }
 
 // eventRing is a bounded event log with a monotonic cursor: the last cap
 // lines are retained, and every line ever appended has a stable sequence
 // number, so a follower that saw lines [0, n) asks for "since n" and keeps
-// working across wrap — it just skips the lines the ring dropped.
+// working across wrap — it just skips the lines the ring dropped. The
+// ring grows by append up to its cap and only then wraps, so a campaign
+// that logs a handful of lines holds a handful of slots: campaigns are
+// never evicted, and a preallocated cap-sized ring per campaign would make
+// retained memory grow with the campaign count.
 type eventRing struct {
-	lines [][]byte
-	head  int // index of the oldest retained line
-	n     int // retained count
-	seq   int // total lines ever appended; retained are [seq-n, seq)
+	lines [][]byte // grows to limit, then wraps
+	limit int      // retention bound
+	head  int      // index of the oldest retained line (0 until the ring wraps)
+	n     int      // retained count, len(lines)
+	seq   int      // total lines ever appended; retained are [seq-n, seq)
 }
 
 func newEventRing(capLines int) *eventRing {
-	return &eventRing{lines: make([][]byte, capLines)}
+	return &eventRing{limit: capLines}
 }
 
 func (r *eventRing) append(line []byte) {
-	if r.n < len(r.lines) {
-		r.lines[(r.head+r.n)%len(r.lines)] = line
+	if r.n < r.limit {
+		r.lines = append(r.lines, line)
 		r.n++
 	} else {
 		r.lines[r.head] = line
@@ -224,7 +227,7 @@ type Coordinator struct {
 	eventCap int
 
 	mu        sync.Mutex
-	cond      *sync.Cond // broadcast on any event append / state change
+	changed   chan struct{} // closed and replaced on any event append / state change
 	campaigns []*campaignState
 	byID      map[string]*campaignState
 	leases    map[uint64]*lease
@@ -267,8 +270,8 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		idem:       map[string]string{},
 		wrrCredit:  map[string]int{},
 		workerSeen: map[string]time.Time{},
+		changed:    make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.mu)
 	if opts.Obs != nil {
 		// Register the timing-dependent farm histograms/counters as
 		// non-golden up front so a snapshot taken before any activity
@@ -319,7 +322,13 @@ func (c *Coordinator) eventLocked(camp *campaignState, msg string, fields ...obs
 	camp.events.append(line.line)
 	c.appendEventJournalLocked(camp, line.line)
 	c.logger().Info(msg, append([]obs.Field{obs.F("campaign", camp.id)}, fields...)...)
-	c.cond.Broadcast()
+	c.notifyLocked()
+}
+
+// notifyLocked wakes every event follower. Must be called with c.mu held.
+func (c *Coordinator) notifyLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
 }
 
 // appendEventJournalLocked writes one event line to the campaign's
@@ -483,7 +492,7 @@ func (c *Coordinator) refreshLocked(camp *campaignState) {
 		camp.state = StateDone
 		c.eventLocked(camp, "campaign complete", obs.F("cells", done))
 	}
-	c.cond.Broadcast()
+	c.notifyLocked()
 }
 
 // expireLocked requeues cells whose leases have missed their deadline.
@@ -894,11 +903,13 @@ func (c *Coordinator) statusLocked(camp *campaignState, detail bool) Status {
 	return st
 }
 
-// Artifact assembles (and caches) a completed campaign's merged artifact by
-// running the ordinary collection path in store-only mode: the exact code
-// that builds a local artifact, with the compute branch forbidden. This is
-// the mechanism behind the byte-identity guarantee — there is no separate
-// "merge" implementation to drift.
+// Artifact assembles a completed campaign's merged artifact by running the
+// ordinary collection path in store-only mode: the exact code that builds
+// a local artifact, with the compute branch forbidden. This is the
+// mechanism behind the byte-identity guarantee — there is no separate
+// "merge" implementation to drift. Every fetch re-assembles from the
+// store, exactly as a restarted or promoted coordinator does, so the
+// coordinator keeps no second, memory-only copy of the store's state.
 func (c *Coordinator) Artifact(ctx context.Context, id string) ([]byte, error) {
 	c.mu.Lock()
 	camp, ok := c.byID[id]
@@ -910,11 +921,6 @@ func (c *Coordinator) Artifact(ctx context.Context, id string) ([]byte, error) {
 		state := camp.state
 		c.mu.Unlock()
 		return nil, fmt.Errorf("campaign: %s is %s, artifact available once done", id, state)
-	}
-	if camp.artifact != nil {
-		buf := camp.artifact
-		c.mu.Unlock()
-		return buf, nil
 	}
 	spec := camp.spec
 	c.mu.Unlock()
@@ -928,14 +934,7 @@ func (c *Coordinator) Artifact(ctx context.Context, id string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: assembling %s from store: %w", id, err)
 	}
-	buf, err := art.Encode()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	camp.artifact = buf
-	c.mu.Unlock()
-	return buf, nil
+	return art.Encode()
 }
 
 // Events returns the campaign's event log as JSONL bytes from monotonic
@@ -1049,8 +1048,8 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		// ?provenance=1 decorates a copy with each cell's measurement
-		// pedigree; the cached plain artifact — the golden bytes — is
-		// never touched.
+		// pedigree; the plain artifact — the golden bytes — is never
+		// touched.
 		if r.URL.Query().Get("provenance") == "1" {
 			if buf, err = c.decorateProvenance(r.PathValue("id"), buf); err != nil {
 				httpError(w, http.StatusInternalServerError, err)
@@ -1343,10 +1342,8 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if !follow || terminal {
 			return
 		}
-		select {
-		case <-r.Context().Done():
+		if !c.waitEvents(r.Context(), id, from) {
 			return
-		case <-c.waitEvents(from):
 		}
 		buf, next, _, terminal, ok = c.events(id, from)
 		if !ok {
@@ -1362,20 +1359,26 @@ func boolHeader(b bool) string {
 	return "0"
 }
 
-// waitEvents returns a channel that closes when the event log may have
-// grown past n lines (or on a coarse timeout so lazy lease expiry still
-// advances while a follower is attached).
-func (c *Coordinator) waitEvents(n int) <-chan struct{} {
-	ch := make(chan struct{})
-	go func() {
-		defer close(ch)
-		timeout := time.AfterFunc(time.Second, func() { c.cond.Broadcast() })
-		defer timeout.Stop()
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.cond.Wait()
-	}()
-	return ch
+// waitEvents blocks until campaign id's event log may have grown past n
+// lines or the campaign is terminal or unknown; it reports false once ctx
+// is done. The cursor is checked under the lock that appends take, so a
+// line appended after the caller's last read but before this call returns
+// at once instead of being missed until the next change.
+func (c *Coordinator) waitEvents(ctx context.Context, id string, n int) bool {
+	c.mu.Lock()
+	camp, ok := c.byID[id]
+	if !ok || camp.events.seq > n || camp.state != StateRunning {
+		c.mu.Unlock()
+		return ctx.Err() == nil
+	}
+	changed := c.changed
+	c.mu.Unlock()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-changed:
+		return true
+	}
 }
 
 // SubmitResponse answers a campaign submission.

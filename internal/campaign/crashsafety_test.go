@@ -335,6 +335,68 @@ func TestEventRing(t *testing.T) {
 	}
 }
 
+// TestEventRingGrowsOnAppend pins the ring's allocation: a campaign that
+// logs two lines holds a backing array of a few slots, not the full cap,
+// and a ring filled past its cap retains exactly cap lines.
+func TestEventRingGrowsOnAppend(t *testing.T) {
+	r := newEventRing(4096)
+	r.append([]byte("a\n"))
+	r.append([]byte("b\n"))
+	if got := cap(r.lines); got > 4 {
+		t.Fatalf("ring with 2 lines holds %d slots, want at most 4", got)
+	}
+	small := newEventRing(16)
+	for i := 0; i < 40; i++ {
+		small.append([]byte(fmt.Sprintf("l%d\n", i)))
+	}
+	if len(small.lines) != 16 {
+		t.Fatalf("ring retains %d lines, want its cap of 16", len(small.lines))
+	}
+	if buf, next, dropped := small.since(0); !strings.HasPrefix(string(buf), "l24\n") || next != 40 || dropped != 24 {
+		t.Fatalf("since(0) = (%q, %d, %d), want lines 24..39, cursor 40, 24 dropped", buf, next, dropped)
+	}
+}
+
+// TestArtifactReassembledFromStore pins the coordinator's artifact path
+// without a memory-only cache: repeated fetches of one campaign are
+// byte-identical, and match the artifact a coordinator restarted on the
+// same store assembles.
+func TestArtifactReassembledFromStore(t *testing.T) {
+	_, st, client := newFarm(t, CoordinatorOptions{Obs: obs.NewScope()})
+	resp, err := client.Submit(context.Background(), testSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	runWorkers(t, client, 2)
+	first, err := client.Artifact(context.Background(), resp.ID)
+	if err != nil {
+		t.Fatalf("first fetch: %v", err)
+	}
+	second, err := client.Artifact(context.Background(), resp.ID)
+	if err != nil {
+		t.Fatalf("second fetch: %v", err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two fetches of %s differ", resp.ID)
+	}
+
+	reopened, err := store.Open(st.Dir())
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	restarted, err := NewCoordinator(CoordinatorOptions{Store: reopened, Obs: obs.NewScope()})
+	if err != nil {
+		t.Fatalf("restarted coordinator: %v", err)
+	}
+	again, err := restarted.Artifact(context.Background(), resp.ID)
+	if err != nil {
+		t.Fatalf("fetch after restart: %v", err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatalf("artifact from the restarted coordinator differs from the original's")
+	}
+}
+
 // TestEventsAcrossWrap runs a campaign under a minimum-size event ring: the
 // events endpooint must keep working (serving the retained tail) even after
 // the log wrapped.

@@ -22,7 +22,11 @@ type Worker struct {
 	Client *Client
 	// Name identifies the worker in leases and events.
 	Name string
-	// Poll is the idle poll interval (default 500ms).
+	// Poll is the maximum idle poll interval (default 500ms). After a grant
+	// the idle delay restarts at Poll/64 and doubles on each consecutive
+	// empty acquire up to Poll, so a worker that just finished a cell picks
+	// up newly submitted work within milliseconds while a long-idle worker
+	// still costs the coordinator one request per Poll.
 	Poll time.Duration
 	// IdleExit exits Run when the coordinator reports zero remaining cells.
 	IdleExit bool
@@ -76,6 +80,13 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.Obs.Metrics.Counter("worker.heartbeats.sent").NonGolden()
 		w.Obs.Metrics.Histogram("worker.cell.seconds").NonGolden()
 	}
+	// idle is the next empty-acquire delay. A Poll too small to divide
+	// leaves it constant.
+	idleMin := poll / 64
+	if idleMin <= 0 {
+		idleMin = poll
+	}
+	idle := idleMin
 	backoff := poll
 	for {
 		if err := ctx.Err(); err != nil {
@@ -107,13 +118,17 @@ func (w *Worker) Run(ctx context.Context) error {
 				w.logger().Info("farm idle, exiting", obs.F("worker", w.Name))
 				return nil
 			}
-			if serr := sleepCtx(ctx, jitterDur(poll)); serr != nil {
+			if serr := sleepCtx(ctx, jitterDur(idle)); serr != nil {
 				return serr
+			}
+			if idle *= 2; idle > poll {
+				idle = poll
 			}
 			continue
 		}
 		w.metrics().Counter("worker.leases.acquired").Inc()
 		w.runLease(ctx, resp.Lease)
+		idle = idleMin
 	}
 }
 
