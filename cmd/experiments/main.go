@@ -32,10 +32,11 @@
 // determined by its seed.
 //
 // Long campaigns are crash-safe: with -checkpoint (or -resume) every
-// completed cell is flushed to disk, the first SIGINT/SIGTERM drains
-// in-flight cells and checkpoints them before exiting with status 130, and
-// -resume <dir> replays completed cells — same-seed determinism makes the
-// resumed output byte-identical to an uninterrupted run.
+// completed cell is flushed to a result store directory (internal/store),
+// the first SIGINT/SIGTERM drains in-flight cells and stores them before
+// exiting with status 130, and -resume <dir> replays completed cells —
+// same-seed determinism makes the resumed output byte-identical to an
+// uninterrupted run.
 package main
 
 import (
@@ -55,6 +56,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/oracle"
 	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 // experimentNames is the valid -only vocabulary; unknown names are rejected
@@ -78,8 +80,8 @@ func main() {
 	list := flag.Bool("list", false, "list the available experiments")
 	jobs := flag.Int("j", 0, "parallel workers (0 = $SZ_PARALLEL or GOMAXPROCS, 1 = sequential); identical results at any value")
 	progress := flag.Bool("progress", true, "write per-cell progress/throughput lines to stderr")
-	checkpoint := flag.String("checkpoint", "", "flush completed cells to this directory (crash-safe; enables -resume later)")
-	resume := flag.String("resume", "", "resume from this checkpoint directory, skipping completed cells (implies -checkpoint)")
+	checkpoint := flag.String("checkpoint", "", "flush completed cells to this result store directory (crash-safe; enables -resume later)")
+	resume := flag.String("resume", "", "resume from this result store directory, skipping completed cells (implies -checkpoint)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell watchdog deadline (0 = derive from -scale, negative = off)")
 	retries := flag.Int("retries", -1, "retries per cell after a transient failure or timeout (negative = default)")
 	verify := flag.Bool("verify-semantics", false, "pre-flight: run the semantic-invariance oracle over the suite before any experiment; abort on divergence")
@@ -164,7 +166,7 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 	}
 
 	// Fault-tolerance policy: watchdog deadline (after -quick has settled
-	// the scale), retry budget, shutdown signals, and the checkpoint.
+	// the scale), retry budget, shutdown signals, and the result store.
 	switch {
 	case *cellTimeout > 0:
 		experiment.SetCellTimeout(*cellTimeout)
@@ -185,14 +187,14 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 		}
 		ckptDir = *resume
 	}
-	var ckpt *experiment.Checkpoint
+	var st *store.Store
 	if ckptDir != "" {
 		var err error
-		ckpt, err = experiment.OpenCheckpoint(ckptDir)
+		st, err = store.Open(ckptDir)
 		if err != nil {
 			fail("%v", err)
 		}
-		ctx = experiment.WithCheckpoint(ctx, ckpt)
+		ctx = experiment.WithCellStore(ctx, st.Cells(eng))
 	}
 
 	// Semantic-invariance pre-flight: the experiments measure *performance*
@@ -237,16 +239,16 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 	enabled := func(name string) bool { return len(want) == 0 || want[name] }
 
 	// report prints the end-of-campaign telemetry — cells that needed
-	// retries, checkpoint reuse — and flushes the -metrics/-trace/-log
+	// retries, result store reuse — and flushes the -metrics/-trace/-log
 	// artifacts. It runs on every exit path, so an interrupted or failed
 	// campaign still leaves its telemetry behind.
 	report := func() {
 		if r := experiment.RetryReport(); r != "" {
 			fmt.Fprint(os.Stderr, r)
 		}
-		if ckpt != nil {
-			stored, reused := ckpt.Stats()
-			fmt.Fprintf(os.Stderr, "checkpoint %s: %d cells stored, %d reused\n", ckpt.Dir(), stored, reused)
+		if st != nil {
+			hits, _, puts := st.Stats()
+			fmt.Fprintf(os.Stderr, "result store %s: %d puts, %d hits\n", st.Dir(), puts, hits)
 		}
 		if err := flushObs(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: writing telemetry: %v\n", err)
@@ -262,8 +264,8 @@ phases        E14: extension — phase behavior under re-randomization (§4)`)
 		if err := f(); err != nil {
 			if errors.Is(err, experiment.ErrStopped) || errors.Is(err, context.Canceled) {
 				fmt.Fprintf(os.Stderr, "experiments: %s interrupted: %v\n", name, err)
-				if ckpt != nil {
-					fmt.Fprintf(os.Stderr, "experiments: completed cells are saved; rerun with -resume %s to continue\n", ckpt.Dir())
+				if st != nil {
+					fmt.Fprintf(os.Stderr, "experiments: completed cells are saved; rerun with -resume %s to continue\n", st.Dir())
 				}
 				report()
 				os.Exit(130)

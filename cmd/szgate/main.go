@@ -232,7 +232,6 @@ func cmdRun(args []string) error {
 	jobs := fs.Int("j", 0, "parallel workers (0 = $SZ_PARALLEL or GOMAXPROCS); identical artifacts at any value")
 	progress := fs.Bool("progress", true, "write per-cell progress lines to stderr")
 	commit := fs.String("commit", "", "commit label (default: git rev-parse --short HEAD, if available)")
-	checkpoint := fs.String("checkpoint", "", "flush completed cells to this directory and reuse them on rerun (crash-safe)")
 	storeDir := fs.String("store", "", "content-addressed result store directory: completed cells are stored, already-stored cells are served without recomputing")
 	metricsOut := fs.String("metrics", "", "write an engine-metrics snapshot (JSON) to this file at exit; golden fields only, byte-identical at any -j")
 	metricsFull := fs.Bool("metrics-full", false, "include wall-clock histograms and gauges in -metrics (real but not reproducible)")
@@ -278,13 +277,6 @@ func cmdRun(args []string) error {
 	}
 	ctx, stop := experiment.NotifyShutdown(context.Background(), os.Stderr)
 	defer stop()
-	if *checkpoint != "" {
-		cp, err := experiment.OpenCheckpoint(*checkpoint)
-		if err != nil {
-			return err
-		}
-		ctx = experiment.WithCheckpoint(ctx, cp)
-	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {

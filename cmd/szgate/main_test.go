@@ -223,4 +223,37 @@ func TestCompareStoreParity(t *testing.T) {
 	if code != exitInfra || err == nil {
 		t.Fatalf("store miss: code=%d err=%v, want exit %d with error", code, err, exitInfra)
 	}
+
+	// `run -store` is the crash-safe rerun path: a second run over the same
+	// store writes a byte-identical artifact and adds no block.
+	t.Cleanup(func() { experiment.SetObs(nil) })
+	runStore := filepath.Join(dir, "run-cells")
+	runArtifact := func(name string) ([]byte, []string) {
+		t.Helper()
+		out := filepath.Join(dir, name)
+		if err := cmdRun([]string{"-store", runStore, "-bench", "astar", "-runs", "6",
+			"-scale", "0.05", "-seed", "77", "-commit", "c0ffee", "-progress=false", "-o", out}); err != nil {
+			t.Fatalf("szgate run -store: %v", err)
+		}
+		buf, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := filepath.Glob(filepath.Join(runStore, "blocks", "*", "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf, blocks
+	}
+	first, blocks1 := runArtifact("run1.json")
+	second, blocks2 := runArtifact("run2.json")
+	if len(blocks1) != 1 {
+		t.Fatalf("first run -store wrote %d blocks, want 1", len(blocks1))
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("rerun over the store is not byte-identical:\n%s\nvs\n%s", first, second)
+	}
+	if strings.Join(blocks1, ",") != strings.Join(blocks2, ",") {
+		t.Errorf("rerun over the store changed its blocks: %v -> %v", blocks1, blocks2)
+	}
 }

@@ -3,17 +3,19 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-
-	"errors"
 
 	"repro/internal/compiler"
 	"repro/internal/experiment"
 	"repro/internal/faultinject"
 	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 const testScale = 0.05
@@ -372,7 +374,7 @@ func TestCollectValidatesOptions(t *testing.T) {
 // TestResumeArtifactByteIdentical is the end-to-end crash-safety
 // acceptance check at the artifact level: a collection drained mid-suite
 // (the first-SIGINT path, triggered deterministically via a fault hook),
-// then resumed against the same checkpoint directory at a different
+// then resumed against the same result store directory at a different
 // worker count, must encode to exactly the bytes of an uninterrupted
 // collection.
 func TestResumeArtifactByteIdentical(t *testing.T) {
@@ -394,11 +396,11 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	cp, err := experiment.OpenCheckpoint(dir)
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, drain := experiment.WithDrain(experiment.WithCheckpoint(context.Background(), cp))
+	ctx, drain := experiment.WithDrain(experiment.WithCellStore(context.Background(), st.Cells(opts.Config.Engine)))
 	deactivate := faultinject.Activate(1, faultinject.Fault{
 		Site: faultinject.SiteCellStart, Nth: 1, Kind: faultinject.KindHook, Hook: drain,
 	})
@@ -407,16 +409,16 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 	if !errors.Is(err, experiment.ErrStopped) {
 		t.Fatalf("drained collection returned %v, want ErrStopped", err)
 	}
-	if stored, _ := cp.Stats(); stored != 1 {
-		t.Fatalf("drained collection stored %d cells, want 1 (the in-flight benchmark)", stored)
+	if _, _, puts := st.Stats(); puts != 1 {
+		t.Fatalf("drained collection stored %d cells, want 1 (the in-flight benchmark)", puts)
 	}
 
-	cp2, err := experiment.OpenCheckpoint(dir)
+	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	experiment.SetParallelism(4)
-	resumed, err := Collect(experiment.WithCheckpoint(context.Background(), cp2), opts)
+	resumed, err := Collect(experiment.WithCellStore(context.Background(), st2.Cells(opts.Config.Engine)), opts)
 	if err != nil {
 		t.Fatalf("resumed collection failed: %v", err)
 	}
@@ -427,8 +429,55 @@ func TestResumeArtifactByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed artifact is not byte-identical to the uninterrupted one:\n%s\nvs\n%s", got, want)
 	}
-	if stored, reused := cp2.Stats(); stored != 1 || reused != 1 {
-		t.Errorf("resume stats stored=%d reused=%d, want 1/1", stored, reused)
+	if hits, _, puts := st2.Stats(); puts != 1 || hits != 1 {
+		t.Errorf("resume stats puts=%d hits=%d, want 1/1", puts, hits)
+	}
+}
+
+// TestResumeToleratesCorruptStoreBlock truncates and garbage-fills a
+// stored block: the lookup must degrade to a miss (the cell re-runs with
+// the same samples), never to an error or wrong data, and the re-run must
+// heal the block.
+func TestResumeToleratesCorruptStoreBlock(t *testing.T) {
+	opts := CollectOptions{
+		Suite:  testSuite(t, "astar"),
+		Config: experiment.Config{Scale: testScale, Level: compiler.O2},
+		Runs:   3,
+		Seed:   41,
+	}
+	dir := t.TempDir()
+	collect := func() (*Artifact, *store.Store) {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := Collect(experiment.WithCellStore(context.Background(), st.Cells(opts.Config.Engine)), opts)
+		if err != nil {
+			t.Fatalf("collection over a damaged store failed: %v", err)
+		}
+		return art, st
+	}
+	fresh, _ := collect()
+	blocks, err := filepath.Glob(filepath.Join(dir, "blocks", "*", "*.json"))
+	if err != nil || len(blocks) != 1 {
+		t.Fatalf("block files %v (err %v), want exactly one", blocks, err)
+	}
+	for _, garbage := range []string{"", "{not json", `{"schema": 99, "key": "x"}`} {
+		if err := os.WriteFile(blocks[0], []byte(garbage), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, st := collect()
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("re-run after corruption %q produced a different artifact", garbage)
+		}
+		if hits, _, puts := st.Stats(); puts != 1 || hits != 0 {
+			t.Fatalf("corruption %q: puts=%d hits=%d, want re-store 1/0", garbage, puts, hits)
+		}
+		_, st = collect()
+		if hits, _, puts := st.Stats(); hits != 1 || puts != 0 {
+			t.Fatalf("corruption %q: the re-run did not heal the block (puts=%d hits=%d)", garbage, puts, hits)
+		}
 	}
 }
 

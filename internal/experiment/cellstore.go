@@ -9,24 +9,21 @@ import (
 // names a configuration; this constant names what the simulator does with
 // it. Bump it whenever a change alters the samples a fixed configuration
 // produces (machine-model timing, noise draw order, allocator placement,
-// compiler lowering that shifts retired-instruction streams) so long-lived
-// result stores — which, unlike checkpoints, outlive the build that wrote
-// them — treat old results as stale instead of serving them as current.
-// Checkpoint directories are per-campaign scratch and deliberately do not
-// embed it.
+// compiler lowering that shifts retired-instruction streams) so result
+// stores, which outlive the build that wrote them, treat old results as
+// stale instead of serving them as current. Store keys embed it
+// (internal/store.Extend); CellKey does not.
 const SemanticsGeneration = 1
 
 // CellKey fingerprints one experimental cell: every Config field that
 // influences the samples, plus the run range. Two cells with equal keys
 // collect identical results (same-seed determinism), which is what lets a
-// checkpoint — or a content-addressed result store — substitute stored
-// results for a re-run.
+// result store substitute stored results for a re-run.
 //
-// This is the single definition of the fingerprint: checkpoint keys use it
-// verbatim (Compiled.cellKey delegates here, pinned by a drift test), and
-// store keys extend it with the engine tag and SemanticsGeneration (see
-// internal/store.KeyFor). The format is a stable "|"-separated record whose
-// first field is the benchmark name.
+// This is the single definition of the fingerprint: the collection path
+// uses it verbatim, and store keys extend it with the engine tag and
+// SemanticsGeneration (see internal/store.KeyFor). The format is a stable
+// "|"-separated record whose first field is the benchmark name.
 //
 // A zero Scale is normalized to 1.0, matching CompileBench, so callers that
 // fingerprint a Config without compiling it (the campaign coordinator) get
@@ -45,20 +42,20 @@ func CellKey(benchName string, cfg Config, runs int, seedBase uint64) string {
 		cfg.MaxSteps, cfg.Profile, runs, seedBase)
 	// Throughput cells carry nondeterministic host times, so they never
 	// share a key with golden cells (the suffix is absent for those, keeping
-	// existing checkpoints valid). The engine is deliberately absent: both
-	// engines collect identical samples.
+	// existing store keys valid). The engine is deliberately absent here:
+	// both engines collect identical samples.
 	if cfg.Throughput {
 		key += "|throughput"
 	}
 	return key
 }
 
-// A CellSource serves completed cell results by key. *Checkpoint implements
-// it; so does the content-addressed result store's adapter
-// (internal/store). Lookup returns nil on a miss — a miss is never an
-// error, because re-collection is deterministic. Store persists a completed
-// cell; failures are reported but non-fatal (the cell simply re-runs next
-// time). Implementations must be safe for concurrent use by pool workers.
+// A CellSource serves completed cell results by key. The content-addressed
+// result store's adapter (internal/store.Store.Cells) implements it.
+// Lookup returns nil on a miss — a miss is never an error, because
+// re-collection is deterministic. Store persists a completed cell; failures
+// are reported but non-fatal (the cell simply re-runs next time).
+// Implementations must be safe for concurrent use by pool workers.
 type CellSource interface {
 	Lookup(key string, runs int, seedBase uint64) []RunResult
 	Store(ctx context.Context, key string, runs int, seedBase uint64, results []RunResult) error
@@ -74,11 +71,9 @@ var (
 
 // WithCellStore returns a context carrying a shared result store; every
 // Collect under it consults the store before computing (store-first
-// dedupe) and flushes freshly computed cells back. The store is consulted
-// before any checkpoint on the context: the store is the cross-campaign
-// source of truth, the checkpoint a per-campaign scratch area. A checkpoint
-// hit is also written through to the store, so resumed local campaigns
-// populate the farm.
+// dedupe) and flushes freshly computed cells back. The same store serves
+// the farm, `szgate run -store`, and the -checkpoint/-resume directories
+// of cmd/experiments.
 func WithCellStore(ctx context.Context, src CellSource) context.Context {
 	return context.WithValue(ctx, cellStoreKey, src)
 }

@@ -13,10 +13,9 @@ import (
 	"repro/internal/spec"
 )
 
-// TestCellKeyNoDrift pins the satellite guarantee that checkpoint keys and
-// store keys share one definition: the unexported method the checkpoint
-// layer uses and the exported CellKey helper must agree on every
-// configuration shape that changes the fingerprint.
+// TestCellKeyNoDrift pins the fingerprint's shape: every configuration
+// field that changes the samples changes the key, and a zero Scale
+// normalizes the way CompileBench does.
 func TestCellKeyNoDrift(t *testing.T) {
 	b, _ := spec.ByName("astar")
 	stab := core.AllRandomizations(0)
@@ -33,23 +32,15 @@ func TestCellKeyNoDrift(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i, cfg := range cfgs {
-		cc, err := CompileBench(b, cfg)
-		if err != nil {
-			t.Fatalf("cfg %d: compile: %v", i, err)
-		}
 		for _, rc := range []struct {
 			runs int
 			base uint64
 		}{{3, 7}, {8, 900913}} {
-			got := cc.cellKey(rc.runs, rc.base)
-			want := CellKey(b.Name, cfg, rc.runs, rc.base)
-			if got != want {
-				t.Errorf("cfg %d: key drift:\n  checkpoint: %s\n  exported:   %s", i, got, want)
+			key := CellKey(b.Name, cfg, rc.runs, rc.base)
+			if seen[key] {
+				t.Errorf("cfg %d: key %q collides with another test configuration", i, key)
 			}
-			if seen[got] {
-				t.Errorf("cfg %d: key %q collides with another test configuration", i, got)
-			}
-			seen[got] = true
+			seen[key] = true
 		}
 	}
 	// The zero-scale normalization must match CompileBench's.
@@ -69,6 +60,18 @@ type memSource struct {
 }
 
 func newMemSource() *memSource { return &memSource{cells: map[string][]RunResult{}} }
+
+// reopen returns a source over a copy of m's cells with zeroed counters,
+// standing in for reopening a store directory in a later run.
+func (m *memSource) reopen() *memSource {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := newMemSource()
+	for k, v := range m.cells {
+		n.cells[k] = v
+	}
+	return n
+}
 
 func (m *memSource) Lookup(key string, runs int, seedBase uint64) []RunResult {
 	m.mu.Lock()
@@ -160,33 +163,5 @@ func TestStoreOnlyMiss(t *testing.T) {
 	}
 	if len(ss.Seconds) != 4 {
 		t.Fatalf("store-only collect returned %d samples, want 4", len(ss.Seconds))
-	}
-}
-
-// TestCheckpointWritesThroughToStore asserts that a checkpoint hit
-// populates the result store, so resumed local campaigns feed the farm.
-func TestCheckpointWritesThroughToStore(t *testing.T) {
-	b, _ := spec.ByName("astar")
-	cc, err := CompileBench(b, Config{Scale: 0.05})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	cp, err := OpenCheckpoint(t.TempDir())
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	// First pass: checkpoint only.
-	if _, err := cc.Collect(WithCheckpoint(context.Background(), cp), 3, 50); err != nil {
-		t.Fatalf("collect: %v", err)
-	}
-	// Second pass: checkpoint + empty store. The cell must come from the
-	// checkpoint and be written through to the store.
-	src := newMemSource()
-	ctx := WithCellStore(WithCheckpoint(context.Background(), cp), src)
-	if _, err := cc.Collect(ctx, 3, 50); err != nil {
-		t.Fatalf("collect: %v", err)
-	}
-	if src.stores != 1 {
-		t.Fatalf("checkpoint hit did not write through to store (stores=%d)", src.stores)
 	}
 }

@@ -1,7 +1,7 @@
 package experiment
 
 // Recovery-path tests: every failure mode the engine claims to survive —
-// worker panics, injected transient faults, watchdog timeouts, checkpoint
+// worker panics, injected transient faults, watchdog timeouts, result
 // store failures — is exercised here, mostly through the deterministic
 // fault-injection harness (internal/faultinject). CI runs these (plus the
 // resume tests) as a dedicated job: -run 'Fault|Panic|Resume'.

@@ -13,7 +13,7 @@ import (
 
 // ErrStopped is returned by sweeps that stopped early because a drain was
 // requested (first SIGINT/SIGTERM, or a test-driven stop). Cells finished
-// before the drain are flushed to the checkpoint, so a rerun with -resume
+// before the drain are flushed to the result store, so a rerun with -resume
 // picks up where the sweep left off. Pool.ForEach treats it as "stop
 // dispatching" rather than "cancel everything".
 var ErrStopped = errors.New("experiment: sweep stopped early (drained); rerun with -resume to continue")
@@ -41,7 +41,7 @@ func Draining(ctx context.Context) bool {
 
 // NotifyShutdown installs the shutdown policy for long sweeps: the first
 // SIGINT/SIGTERM raises the drain flag — in-flight cells finish, their
-// results are checkpointed, and the sweep returns ErrStopped — while a
+// results are stored, and the sweep returns ErrStopped — while a
 // second signal cancels the context outright. Progress notes go to w
 // (nil silences them). The returned stop function releases the signal
 // handler and cancels the context; defer it.
@@ -57,7 +57,7 @@ func NotifyShutdown(parent context.Context, w io.Writer) (context.Context, conte
 			return
 		case s := <-sig:
 			if w != nil {
-				fmt.Fprintf(w, "\n%v: draining — in-flight cells will finish and checkpoint (signal again to abort)\n", s)
+				fmt.Fprintf(w, "\n%v: draining — in-flight cells will finish and be stored (signal again to abort)\n", s)
 			}
 			drain()
 		}

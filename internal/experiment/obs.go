@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"os"
 	"sync/atomic"
 
@@ -17,7 +18,7 @@ import (
 var obsScope atomic.Pointer[obs.Scope]
 
 // SetObs installs the observability scope the engine reports into:
-// metrics for the pool / compile cache / retries / checkpoints, the
+// metrics for the pool / compile cache / retries / result store, the
 // structured run log, and the span tracer. nil (the default) disables all
 // of it. Not for concurrent use with a running sweep.
 func SetObs(s *obs.Scope) { obsScope.Store(s) }
@@ -49,6 +50,33 @@ func obsTrace() *obs.Tracer {
 // obsF aliases obs.F for terse structured-log fields at call sites.
 func obsF(key string, value any) obs.Field { return obs.F(key, value) }
 
+// warnCell reports a non-fatal infrastructure problem, with a cell label
+// attached as a structured field (and a plain-text prefix on the fallback
+// path). Warnings never fail a sweep. With an observability scope
+// installed (SetObs) that carries a logger, the warning becomes a
+// structured JSONL line at warn level; otherwise it falls back to the
+// progress writer (stderr when none is set).
+func warnCell(label, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	if lg := obsLog(); lg != nil {
+		if label != "" {
+			lg.Warn(msg, obsF("cell", label))
+		} else {
+			lg.Warn(msg)
+		}
+		return
+	}
+	w := progressWriter()
+	if w == nil {
+		w = os.Stderr
+	}
+	if label != "" {
+		fmt.Fprintf(w, "[%s] %s\n", label, msg)
+	} else {
+		fmt.Fprintln(w, msg)
+	}
+}
+
 // ObsFiles configures InstallObs: each non-empty path enables one sink.
 type ObsFiles struct {
 	// Metrics is written a registry snapshot at Flush time. Golden by
@@ -58,7 +86,7 @@ type ObsFiles struct {
 	Metrics string
 	Full    bool
 	// Trace is written Chrome trace-event JSON of the engine spans
-	// (compile/link/run/verify/checkpoint) at Flush time. Wall-clock
+	// (compile/link/run/verify/cell) at Flush time. Wall-clock
 	// timestamps: never golden.
 	Trace string
 	// Log receives the structured JSONL run log as the campaign executes,

@@ -132,7 +132,7 @@ func TestWarnCellRoutesToLogger(t *testing.T) {
 	scope := withScope(t)
 	var buf bytes.Buffer
 	scope.Log = obs.NewLogger(&buf, obs.LevelInfo)
-	warnCell("astar -O2 native", "experiment: checkpoint cell: %v", "disk full")
+	warnCell("astar -O2 native", "experiment: result store: %v", "disk full")
 	line := buf.String()
 	if !strings.Contains(line, `"level":"warn"`) ||
 		!strings.Contains(line, `"cell":"astar -O2 native"`) ||
@@ -144,7 +144,7 @@ func TestWarnCellRoutesToLogger(t *testing.T) {
 	var plain bytes.Buffer
 	SetProgress(&plain)
 	defer SetProgress(nil)
-	warnCell("astar -O2 native", "experiment: checkpoint cell: %v", "disk full")
+	warnCell("astar -O2 native", "experiment: result store: %v", "disk full")
 	if !strings.Contains(plain.String(), "[astar -O2 native]") {
 		t.Errorf("fallback warnCell line missing cell label: %s", plain.String())
 	}

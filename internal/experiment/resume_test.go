@@ -1,15 +1,15 @@
 package experiment
 
-// Checkpoint/resume tests: an interrupted sweep, resumed against the same
-// checkpoint directory, must reproduce the uninterrupted sweep exactly —
-// at any worker count — and no fault or corruption in the checkpoint
-// layer may fail a sweep or feed it wrong data.
+// Resume tests: an interrupted sweep, resumed against the same result
+// store, must reproduce the uninterrupted sweep exactly — at any worker
+// count — and no fault in the store write may fail a sweep. The store is
+// the in-memory memSource; reopen stands in for reopening a store
+// directory between runs. On-disk corruption is covered by the store's own
+// tests and by the artifact-level resume tests in internal/bench.
 
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,26 +19,22 @@ import (
 )
 
 // TestResumeCheckpointRoundTrip stores one cell and replays it: the
-// replayed SampleSet must be deeply equal to the fresh one (the JSON
-// round trip loses nothing), and Stats must account for both directions.
+// replayed SampleSet must be deeply equal to the fresh one, and the
+// store's counters must account for both directions.
 func TestResumeCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	cp, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := newMemSource()
 	b := subset(t, "astar")[0]
 	cc, err := CompileBench(b, Config{Scale: testScale, Level: compiler.O2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := WithCheckpoint(context.Background(), cp)
+	ctx := WithCellStore(context.Background(), src)
 	fresh, err := cc.Collect(ctx, 4, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored, reused := cp.Stats(); stored != 1 || reused != 0 {
-		t.Fatalf("stats after first collect: stored=%d reused=%d, want 1/0", stored, reused)
+	if src.stores != 1 || src.hits != 0 {
+		t.Fatalf("stats after first collect: stored=%d reused=%d, want 1/0", src.stores, src.hits)
 	}
 	replayed, err := cc.Collect(ctx, 4, 31)
 	if err != nil {
@@ -47,8 +43,8 @@ func TestResumeCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(replayed, fresh) {
 		t.Error("replayed cell differs from the fresh collection")
 	}
-	if stored, reused := cp.Stats(); stored != 1 || reused != 1 {
-		t.Fatalf("stats after replay: stored=%d reused=%d, want 1/1", stored, reused)
+	if src.stores != 1 || src.hits != 1 {
+		t.Fatalf("stats after replay: stored=%d reused=%d, want 1/1", src.stores, src.hits)
 	}
 	// A different seed base is a different cell — never served from the
 	// stored one.
@@ -61,60 +57,12 @@ func TestResumeCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResumeToleratesCorruptCheckpoint truncates and garbage-fills cell
-// files: lookups must degrade to a miss (cell re-runs, same results),
-// never to an error or wrong data, and the re-run must heal the file.
-func TestResumeToleratesCorruptCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	cp, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := subset(t, "astar")[0]
-	cc, err := CompileBench(b, Config{Scale: testScale, Level: compiler.O2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithCheckpoint(context.Background(), cp)
-	fresh, err := cc.Collect(ctx, 3, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := filepath.Glob(filepath.Join(dir, "cell-*.json"))
-	if err != nil || len(cells) != 1 {
-		t.Fatalf("cell files %v (err %v), want exactly one", cells, err)
-	}
-	for _, garbage := range []string{"", "{not json", `{"schema": 99, "key": "x"}`} {
-		if err := os.WriteFile(cells[0], []byte(garbage), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cp2, err := OpenCheckpoint(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cc.Collect(WithCheckpoint(context.Background(), cp2), 3, 41)
-		if err != nil {
-			t.Fatalf("corrupt cell file %q failed the sweep: %v", garbage, err)
-		}
-		if !reflect.DeepEqual(got, fresh) {
-			t.Fatalf("re-run after corruption %q produced different samples", garbage)
-		}
-		if stored, reused := cp2.Stats(); stored != 1 || reused != 0 {
-			t.Fatalf("corruption %q: stored=%d reused=%d, want re-store 1/0", garbage, stored, reused)
-		}
-	}
-}
-
 // TestResumeCheckpointStoreFaultIsHarmless injects a failure into the
-// checkpoint store: the sweep still succeeds (a checkpoint is an
-// optimization, not a dependency), nothing half-written is left behind,
-// and the next run simply stores the cell again.
+// store write: the sweep still succeeds (the store is an optimization,
+// not a dependency), nothing is stored, and the next run simply stores
+// the cell again.
 func TestResumeCheckpointStoreFaultIsHarmless(t *testing.T) {
-	dir := t.TempDir()
-	cp, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := newMemSource()
 	b := subset(t, "astar")[0]
 	cc, err := CompileBench(b, Config{Scale: testScale, Level: compiler.O2})
 	if err != nil {
@@ -122,31 +70,30 @@ func TestResumeCheckpointStoreFaultIsHarmless(t *testing.T) {
 	}
 	for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic} {
 		deactivate := faultinject.Activate(1, faultinject.Fault{
-			Site: faultinject.SiteCheckpointStore, Nth: 1, Kind: kind,
+			Site: faultinject.SiteCellStore, Nth: 1, Kind: kind,
 		})
-		_, err = cc.Collect(WithCheckpoint(context.Background(), cp), 3, 51)
+		_, err = cc.Collect(WithCellStore(context.Background(), src), 3, 51)
 		deactivate()
 		if err != nil {
 			t.Fatalf("store fault %v failed the sweep: %v", kind, err)
 		}
-		files, _ := filepath.Glob(filepath.Join(dir, "*"))
-		if len(files) != 0 {
-			t.Fatalf("store fault %v left files behind: %v", kind, files)
+		if len(src.cells) != 0 {
+			t.Fatalf("store fault %v left cells behind: %d", kind, len(src.cells))
 		}
 	}
 	// With no plan active the cell stores normally.
-	if _, err := cc.Collect(WithCheckpoint(context.Background(), cp), 3, 51); err != nil {
+	if _, err := cc.Collect(WithCellStore(context.Background(), src), 3, 51); err != nil {
 		t.Fatal(err)
 	}
-	if stored, _ := cp.Stats(); stored != 1 {
-		t.Fatalf("stored %d cells after recovery, want 1", stored)
+	if src.stores != 1 {
+		t.Fatalf("stored %d cells after recovery, want 1", src.stores)
 	}
 }
 
 // TestResumeAfterDrainMatchesUninterrupted is the acceptance test for the
 // whole crash-safety story: a sweep is drained mid-flight at a
 // deterministic point (a KindHook fault raising the drain flag, standing
-// in for the first SIGINT), completed cells land in the checkpoint, and a
+// in for the first SIGINT), completed cells land in the store, and a
 // resumed run — at a different worker count — produces a result deeply
 // equal to an uninterrupted sweep.
 func TestResumeAfterDrainMatchesUninterrupted(t *testing.T) {
@@ -168,13 +115,9 @@ func TestResumeAfterDrainMatchesUninterrupted(t *testing.T) {
 
 	// Interrupted run: drain raised at the start of the 2nd cell (of 4:
 	// two configurations per benchmark). The in-flight cell finishes and
-	// checkpoints; the remaining benchmark is never started.
-	dir := t.TempDir()
-	cp, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, drain := WithDrain(WithCheckpoint(context.Background(), cp))
+	// is stored; the remaining benchmark is never started.
+	src := newMemSource()
+	ctx, drain := WithDrain(WithCellStore(context.Background(), src))
 	deactivate := faultinject.Activate(1, faultinject.Fault{
 		Site: faultinject.SiteCellStart, Nth: 2, Kind: faultinject.KindHook, Hook: drain,
 	})
@@ -188,20 +131,17 @@ func TestResumeAfterDrainMatchesUninterrupted(t *testing.T) {
 	if !strings.Contains(err.Error(), "-resume") {
 		t.Errorf("drain error %q does not point at -resume", err)
 	}
-	stored, _ := cp.Stats()
+	stored := src.stores
 	if stored == 0 || stored >= 4 {
 		t.Fatalf("drained sweep stored %d of 4 cells, want a strict subset", stored)
 	}
 
 	// Resume at a different worker count: stored cells replay, the rest
 	// collect fresh, and the result matches the uninterrupted sweep.
-	cp2, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src2 := src.reopen()
 	var resumed *NormalityResult
 	withParallelism(t, 4, func() {
-		resumed, err = Normality(WithCheckpoint(context.Background(), cp2), opts)
+		resumed, err = Normality(WithCellStore(context.Background(), src2), opts)
 	})
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
@@ -209,19 +149,15 @@ func TestResumeAfterDrainMatchesUninterrupted(t *testing.T) {
 	if !reflect.DeepEqual(resumed, uninterrupted) {
 		t.Error("resumed sweep differs from the uninterrupted sweep")
 	}
-	stored2, reused2 := cp2.Stats()
-	if reused2 != stored || stored2 != 4-stored {
-		t.Errorf("resume stats stored=%d reused=%d, want %d/%d", stored2, reused2, 4-stored, stored)
+	if src2.hits != stored || src2.stores != 4-stored {
+		t.Errorf("resume stats stored=%d reused=%d, want %d/%d", src2.stores, src2.hits, 4-stored, stored)
 	}
 
 	// A third pass replays everything.
-	cp3, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src3 := src2.reopen()
 	var replayed *NormalityResult
 	withParallelism(t, 2, func() {
-		replayed, err = Normality(WithCheckpoint(context.Background(), cp3), opts)
+		replayed, err = Normality(WithCellStore(context.Background(), src3), opts)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,14 +165,14 @@ func TestResumeAfterDrainMatchesUninterrupted(t *testing.T) {
 	if !reflect.DeepEqual(replayed, uninterrupted) {
 		t.Error("fully-replayed sweep differs from the uninterrupted sweep")
 	}
-	if stored3, reused3 := cp3.Stats(); stored3 != 0 || reused3 != 4 {
-		t.Errorf("replay stats stored=%d reused=%d, want 0/4", stored3, reused3)
+	if src3.stores != 0 || src3.hits != 4 {
+		t.Errorf("replay stats stored=%d reused=%d, want 0/4", src3.stores, src3.hits)
 	}
 }
 
 // TestResumeDrainStopsParallelSweepCleanly drains a parallel sweep: the
 // pool must report ErrStopped without cancelling in-flight cells, and the
-// checkpointed subset must be valid cells an undisturbed resume can use.
+// stored subset must be valid cells an undisturbed resume can use.
 func TestResumeDrainStopsParallelSweepCleanly(t *testing.T) {
 	opts := NormalityOptions{
 		Scale: testScale,
@@ -244,15 +180,12 @@ func TestResumeDrainStopsParallelSweepCleanly(t *testing.T) {
 		Seed:  71,
 		Suite: subset(t, "astar", "libquantum", "mcf"),
 	}
-	dir := t.TempDir()
-	cp, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, drain := WithDrain(WithCheckpoint(context.Background(), cp))
+	src := newMemSource()
+	ctx, drain := WithDrain(WithCellStore(context.Background(), src))
 	deactivate := faultinject.Activate(1, faultinject.Fault{
 		Site: faultinject.SiteCellStart, Nth: 1, Kind: faultinject.KindHook, Hook: drain,
 	})
+	var err error
 	withParallelism(t, 3, func() {
 		_, err = Normality(ctx, opts)
 	})
@@ -260,14 +193,10 @@ func TestResumeDrainStopsParallelSweepCleanly(t *testing.T) {
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("drained parallel sweep returned %v, want ErrStopped", err)
 	}
-	// Whatever was checkpointed must replay cleanly on resume.
-	cp2, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Whatever was stored must replay cleanly on resume.
 	var resumed, fresh *NormalityResult
 	withParallelism(t, 1, func() {
-		resumed, err = Normality(WithCheckpoint(context.Background(), cp2), opts)
+		resumed, err = Normality(WithCellStore(context.Background(), src.reopen()), opts)
 	})
 	if err != nil {
 		t.Fatal(err)

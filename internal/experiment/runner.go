@@ -53,15 +53,15 @@ type Config struct {
 	// Engine selects the interpreter execution engine (default compiled;
 	// walk is the differential reference). Both engines produce identical
 	// samples — the cross-engine oracle axis enforces it — so the engine is
-	// deliberately not part of cellKey: a checkpoint collected under one
-	// engine replays correctly under the other. Only host-side throughput
-	// (RunResult.HostSeconds) differs.
+	// deliberately not part of CellKey; result stores add it to their own
+	// key (store.Extend) to keep each engine's blocks apart. Only host-side
+	// throughput (RunResult.HostSeconds) differs.
 	Engine interp.Engine
 	// Throughput enables host wall-clock measurement of each interpreter
 	// run (RunResult.HostSeconds). Off by default: host time is the one
 	// nondeterministic quantity a run can carry, so golden collections keep
 	// it zeroed and stay bit-identical across re-runs. Throughput cells get
-	// their own checkpoint key — a replay reports the stored host time
+	// their own cell key — a replay reports the stored host time
 	// rather than silently serving zeros from a golden cell.
 	Throughput bool
 }
@@ -304,15 +304,8 @@ func (c *Compiled) cellLabel() string {
 	return fmt.Sprintf("%s %s %s", c.Bench.Name, c.Cfg.Level, rt)
 }
 
-// cellKey fingerprints the cell for checkpointing. It delegates to the
-// exported CellKey so checkpoint keys and result-store keys provably share
-// one definition (a drift test pins the equivalence).
-func (c *Compiled) cellKey(runs int, seedBase uint64) string {
-	return CellKey(c.Bench.Name, c.Cfg, runs, seedBase)
-}
-
 // sampleSetFrom rebuilds a SampleSet from per-run results (fresh or
-// replayed from a checkpoint — the two are indistinguishable).
+// served from a result store — the two are indistinguishable).
 func sampleSetFrom(results []RunResult) *SampleSet {
 	ss := &SampleSet{Seconds: make([]float64, len(results)), Results: results}
 	for i := range results {
@@ -329,8 +322,8 @@ func sampleSetFrom(results []RunResult) *SampleSet {
 // error is returned.
 //
 // Collect is the fault-tolerance boundary of the engine. If ctx carries a
-// checkpoint (WithCheckpoint), a completed cell is replayed from disk and
-// a fresh one is flushed on success. If ctx carries a raised drain flag
+// result store (WithCellStore), a completed cell is served from it and a
+// fresh one is written to it on success. If ctx carries a raised drain flag
 // (NotifyShutdown's first signal), the cell is not started and ErrStopped
 // is returned. A cell that fails with a transient error or a watchdog
 // timeout (SetCellTimeout) is retried with capped backoff up to
@@ -344,9 +337,8 @@ func (c *Compiled) collect(ctx context.Context, pool *Pool, runs int, seedBase u
 	label := c.cellLabel()
 	endSpan := obsTrace().Span("cell", label, map[string]any{"runs": runs})
 	defer endSpan()
-	cp := CheckpointFrom(ctx)
 	cs := CellStoreFrom(ctx)
-	key := c.cellKey(runs, seedBase)
+	key := CellKey(c.Bench.Name, c.Cfg, runs, seedBase)
 	if cs != nil {
 		if results := cs.Lookup(key, runs, seedBase); results != nil {
 			obsMetrics().Counter("cellstore.hits").Inc()
@@ -354,19 +346,6 @@ func (c *Compiled) collect(ctx context.Context, pool *Pool, runs int, seedBase u
 			return sampleSetFrom(results), nil
 		}
 		obsMetrics().Counter("cellstore.misses").Inc()
-	}
-	if cp != nil {
-		if results := cp.Lookup(key, runs, seedBase); results != nil {
-			obsLog().Info("cell replayed from checkpoint", obsF("cell", label), obsF("runs", runs))
-			// Write a checkpoint hit through to the result store so resumed
-			// local campaigns populate the shared store too.
-			if cs != nil {
-				if serr := cs.Store(ctx, key, runs, seedBase, results); serr != nil {
-					warnCell(label, "experiment: result store: %v (cell stays checkpoint-local)", serr)
-				}
-			}
-			return sampleSetFrom(results), nil
-		}
 	}
 	if StoreOnly(ctx) {
 		return nil, &StoreMissError{Label: label, Key: key}
@@ -393,15 +372,8 @@ func (c *Compiled) collect(ctx context.Context, pool *Pool, runs int, seedBase u
 		ss, err := c.collectOnce(ctx, pool, label, attempt, runs, seedBase)
 		if err == nil {
 			recordAttempts(label, attempts)
-			if cp != nil {
-				if serr := cp.Store(ctx, key, runs, seedBase, ss.Results); serr != nil {
-					warnCell(label, "experiment: checkpoint cell: %v (cell will re-run on resume)", serr)
-				}
-			}
 			if cs != nil {
-				if serr := cs.Store(ctx, key, runs, seedBase, ss.Results); serr != nil {
-					warnCell(label, "experiment: result store: %v (cell will re-run next campaign)", serr)
-				}
+				storeCell(ctx, cs, label, key, runs, seedBase, ss.Results)
 			}
 			obsLog().Info("cell collected", obsF("cell", label), obsF("runs", runs), obsF("attempts", attempts))
 			return ss, nil
@@ -424,6 +396,24 @@ func (c *Compiled) collect(ctx context.Context, pool *Pool, runs int, seedBase u
 	recordAttempts(label, attempts)
 	obsLog().Error("cell failed", obsF("cell", label), obsF("attempts", attempts), obsF("err", fmt.Sprint(lastErr)))
 	return nil, &CellError{Label: label, Attempts: attempts, Err: lastErr}
+}
+
+// storeCell writes a completed cell to the result store. A failed or
+// panicking write is a warning, never a sweep failure: the store is an
+// optimization, and the cell simply re-runs next time.
+func storeCell(ctx context.Context, cs CellSource, label, key string, runs int, seedBase uint64, results []RunResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			warnCell(label, "experiment: result store panicked: %v (cell will re-run next campaign)", r)
+		}
+	}()
+	err := faultinject.Hit(ctx, faultinject.SiteCellStore)
+	if err == nil {
+		err = cs.Store(ctx, key, runs, seedBase, results)
+	}
+	if err != nil {
+		warnCell(label, "experiment: result store: %v (cell will re-run next campaign)", err)
+	}
 }
 
 // collectOnce is one collection attempt of the cell under the watchdog

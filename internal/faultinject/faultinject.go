@@ -32,8 +32,9 @@ const (
 	SiteCellStart = "cell.start"
 	// SiteCompileCache is hit inside the compile cache, before compiling.
 	SiteCompileCache = "compile.cache"
-	// SiteCheckpointStore is hit before a checkpoint cell file is written.
-	SiteCheckpointStore = "checkpoint.store"
+	// SiteCellStore is hit before a completed cell is written to the
+	// result store.
+	SiteCellStore = "cell.store"
 )
 
 // Instrumented protocol sites in the campaign farm. Client-side net.* sites

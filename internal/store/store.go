@@ -1,8 +1,8 @@
 // Package store is the content-addressed result store of the benchmarking
 // farm: a directory of immutable sample blocks, one per experimental cell,
 // addressed by the cell's configuration fingerprint. The fingerprint is the
-// engine's own cell key (experiment.CellKey — the same definition
-// checkpoints use) extended with the interpreter engine tag and the
+// engine's own cell key (experiment.CellKey — the same definition the
+// collection path uses) extended with the interpreter engine tag and the
 // simulator's SemanticsGeneration, so a long-lived store shared across
 // campaigns, users, and builds never serves results whose meaning has
 // drifted.
@@ -18,10 +18,12 @@
 //
 //	<dir>/blocks/<aa>/<sha256(key)>.json   one cell's sample block
 //	<dir>/index.json                       advisory listing of all blocks
+//	<dir>/quarantine/                      damaged blocks, moved aside
 //
 // Block files are written atomically (temp + rename) and carry an integrity
 // hash over their canonical payload; a corrupt, truncated, mismatched, or
-// foreign-schema block degrades to a miss, never to wrong data. The index
+// foreign-schema block degrades to a miss, never to wrong data, and is
+// moved into <dir>/quarantine/ so the cell's re-run can write it afresh. The index
 // is an advisory accelerator for humans and tooling (`szfarm status`, the
 // CI artifact upload): lookups never trust it, and Open rebuilds it from
 // the blocks on disk when it is missing or stale.
@@ -61,7 +63,7 @@ func KeyFor(benchName string, cfg experiment.Config, runs int, seedBase uint64) 
 	return Extend(experiment.CellKey(benchName, cfg, runs, seedBase), cfg.Engine)
 }
 
-// Extend turns a checkpoint cell key into a store key. Both engines
+// Extend turns an experiment.CellKey into a store key. Both engines
 // provably collect identical samples (the cross-engine differential suite),
 // but a shared store is longer-lived than that proof: keeping hits within
 // one engine means a future engine bug can never cross-contaminate stored
@@ -237,7 +239,9 @@ func benchOf(key string) string {
 // failure mode — missing file, corrupt JSON, schema or integrity mismatch,
 // foreign key in the slot, wrong run range — is a miss with a warning,
 // never an error: re-collection is deterministic, so dropping a bad block
-// is always safe.
+// is always safe. A damaged block (anything but a missing file or a run
+// range that differs from the query) is quarantined, so the re-run's Put
+// can write the slot again instead of no-opping on the damaged file.
 func (s *Store) Get(key string, runs int, seedBase uint64) []experiment.RunResult {
 	path := s.blockPath(key)
 	miss := func() []experiment.RunResult {
@@ -246,6 +250,14 @@ func (s *Store) Get(key string, runs int, seedBase uint64) []experiment.RunResul
 		s.mu.Unlock()
 		s.metrics().Counter("store.get.misses").Inc()
 		return nil
+	}
+	damaged := func(format string, args ...any) []experiment.RunResult {
+		s.warnf("%s: %s (quarantined; treated as a miss)", path, fmt.Sprintf(format, args...))
+		s.quarantine(path)
+		s.mu.Lock()
+		delete(s.index, key)
+		s.mu.Unlock()
+		return miss()
 	}
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -256,31 +268,25 @@ func (s *Store) Get(key string, runs int, seedBase uint64) []experiment.RunResul
 	}
 	var f blockFile
 	if err := json.Unmarshal(buf, &f); err != nil {
-		s.warnf("%s: corrupt block: %v (treated as a miss)", path, err)
-		return miss()
+		return damaged("corrupt block: %v", err)
 	}
 	if f.Schema != BlockSchema {
-		s.warnf("%s: block schema %d, this build reads %d (treated as a miss)", path, f.Schema, BlockSchema)
-		return miss()
+		return damaged("block schema %d, this build reads %d", f.Schema, BlockSchema)
 	}
 	canon, err := canonicalPayload(f.Payload)
 	if err != nil {
-		s.warnf("%s: %v (treated as a miss)", path, err)
-		return miss()
+		return damaged("%v", err)
 	}
 	if got := hashHex(canon); got != f.SHA256 {
-		s.warnf("%s: integrity hash mismatch (stored %s, computed %s; treated as a miss)", path, f.SHA256, got)
-		return miss()
+		return damaged("integrity hash mismatch (stored %s, computed %s)", f.SHA256, got)
 	}
 	var p blockPayload
 	if err := json.Unmarshal(canon, &p); err != nil {
-		s.warnf("%s: corrupt payload: %v (treated as a miss)", path, err)
-		return miss()
+		return damaged("corrupt payload: %v", err)
 	}
 	if p.Key != key {
 		// SHA-256 collision or a foreign file copied into the slot.
-		s.warnf("%s: block holds key %q, wanted %q (treated as a miss)", path, p.Key, key)
-		return miss()
+		return damaged("block holds key %q, wanted %q", p.Key, key)
 	}
 	if p.Runs != runs || p.SeedBase != seedBase || len(p.Results) != runs {
 		s.warnf("%s: run range mismatch (treated as a miss)", path)

@@ -141,6 +141,26 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	if s.Get(key, 3, 7) != nil {
 		t.Fatalf("foreign block served results")
 	}
+
+	// A damaged block must not pin its slot: Get quarantines it, so the
+	// re-run's Put writes the slot again and the next Get hits.
+	for _, garbage := range []string{"", "{not json", `{"schema": 99}`} {
+		if err := os.WriteFile(path, []byte(garbage), 0o644); err != nil {
+			t.Fatalf("write %q: %v", garbage, err)
+		}
+		if s.Get(key, 3, 7) != nil {
+			t.Fatalf("damaged block %q served results", garbage)
+		}
+		if err := s.Put(key, 3, 7, fakeResults(3)); err != nil {
+			t.Fatalf("re-put after %q: %v", garbage, err)
+		}
+		if got := s.Get(key, 3, 7); !reflect.DeepEqual(got, fakeResults(3)) {
+			t.Fatalf("re-put after damaged block %q did not heal the slot: got %+v", garbage, got)
+		}
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.json")); len(q) == 0 {
+		t.Fatalf("damaged blocks were not quarantined")
+	}
 }
 
 func TestIndexRebuild(t *testing.T) {
